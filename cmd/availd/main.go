@@ -771,10 +771,12 @@ func wantConsistent(r *http.Request) bool {
 }
 
 // summaryView resolves a read request to a Summary: the engine's
-// epoch-tagged lock-free snapshot by default (at most SnapshotMaxAge
-// stale, served without touching the shard queues), or a queue-barrier
-// read under ?consistent=1. Barrier answers carry no ETag — they are
-// read-your-writes by definition and must not validate a cache.
+// epoch-tagged lock-free aggregate snapshot by default (at most
+// SnapshotMaxAge stale, served without touching the shard queues), or
+// a queue-barrier read under ?consistent=1. Barrier answers carry no
+// ETag — they are read-your-writes by definition and must not validate
+// a cache. Per-swarm reads (handleSwarm) use the swarm's own view,
+// published once its shard queue drains.
 func (s *server) summaryView(r *http.Request) (*ingest.Summary, string) {
 	if wantConsistent(r) {
 		return s.engine.Summary(), ""

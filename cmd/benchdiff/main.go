@@ -8,8 +8,10 @@
 // Compare a fresh run against a committed baseline, failing (exit 1) on
 // any regression: ns/op or allocs/op growing, or records/sec shrinking,
 // beyond each metric's threshold. Allocation counts are near-noiseless
-// even at -benchtime=1x, which makes allocs/op the leading indicator —
-// an alloc regression shows up long before the timing noise resolves.
+// and independent of the host once a benchmark's one-time set-up
+// amortizes (at -benchtime=1x it does not), which makes allocs/op the
+// leading indicator — an alloc regression shows up long before the
+// timing noise resolves.
 //
 //	benchdiff -base BENCH_baseline.json -new BENCH_new.json
 //
@@ -23,9 +25,11 @@
 // warning and fails the compare the same way a regression does: silent
 // coverage shrinkage is how baselines rot.
 //
-// With -warn regressions and warnings are reported but the exit status
-// stays 0 — the mode CI smoke jobs use, where -benchtime=1x numbers are
-// too noisy to gate a merge on.
+// With -warn timing regressions (ns/op, records/sec) and warnings are
+// reported but the exit status stays 0 — the mode CI smoke jobs use,
+// where shared-runner timings are too noisy to gate a merge on. An
+// allocs/op regression still exits 1 under -warn: allocation counts do
+// not depend on the runner, so they stay a gate.
 package main
 
 import (
@@ -131,9 +135,14 @@ type metricSpec struct {
 func defaultSpecs(nsop, allocs, rate float64) []metricSpec {
 	return []metricSpec{
 		{unit: "ns/op", threshold: nsop, lowerBetter: true},
-		{unit: "allocs/op", threshold: allocs, lowerBetter: true},
+		allocsSpec(allocs),
 		{unit: "records/sec", threshold: rate, lowerBetter: false},
 	}
+}
+
+// allocsSpec is the allocs/op metric: the one -warn does not downgrade.
+func allocsSpec(threshold float64) metricSpec {
+	return metricSpec{unit: "allocs/op", threshold: threshold, lowerBetter: true}
 }
 
 // diff compares the specs' metrics between base and new. It returns
@@ -242,7 +251,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (exit int) {
 		threshold = fs.Float64("threshold", 0.2, "fractional ns/op growth that counts as a regression (negative = ignore)")
 		allocsThr = fs.Float64("allocs-threshold", 0.1, "fractional allocs/op growth that counts as a regression (negative = ignore)")
 		rateThr   = fs.Float64("rate-threshold", 0.2, "fractional records/sec shrinkage that counts as a regression (negative = ignore)")
-		warn      = fs.Bool("warn", false, "report regressions but exit 0 (for noisy smoke runs)")
+		warn      = fs.Bool("warn", false, "report timing regressions and warnings but exit 0 (for noisy smoke runs); allocs/op regressions still fail")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -296,6 +305,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (exit int) {
 		for _, l := range lines {
 			fmt.Fprintln(stdout, l)
 		}
+		_, allocRegressions, _ := diff(bs, ns, []metricSpec{allocsSpec(*allocsThr)})
 		bad := false
 		if regressions > 0 {
 			fmt.Fprintf(stdout, "benchdiff: %d metric(s) regressed beyond threshold\n", regressions)
@@ -307,6 +317,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (exit int) {
 		}
 		if bad {
 			if !*warn {
+				return 1
+			}
+			if allocRegressions > 0 {
+				fmt.Fprintf(stdout, "benchdiff: -warn downgrades timing only; %d allocs/op regression(s) still fail\n", allocRegressions)
 				return 1
 			}
 			fmt.Fprintln(stdout, "benchdiff: -warn set, not failing")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -207,5 +208,49 @@ func TestRunEmitAndCompare(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "empty.json")); err == nil {
 		t.Error("empty snapshot was written")
+	}
+}
+
+// TestRunWarnGatesAllocsOnly pins what -warn downgrades: a timing
+// regression (ns/op, records/sec) exits 0 under -warn, an allocs/op
+// regression beyond -allocs-threshold still exits 1.
+func TestRunWarnGatesAllocsOnly(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, snap *Snapshot) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.json", &Snapshot{Benchmarks: []Benchmark{
+		mkBench("Ingest", map[string]float64{"ns/op": 100, "allocs/op": 50, "records/sec": 1000}),
+	}})
+	slower := write("slower.json", &Snapshot{Benchmarks: []Benchmark{
+		mkBench("Ingest", map[string]float64{"ns/op": 300, "allocs/op": 50, "records/sec": 300}),
+	}})
+	allocier := write("allocier.json", &Snapshot{Benchmarks: []Benchmark{
+		mkBench("Ingest", map[string]float64{"ns/op": 100, "allocs/op": 60, "records/sec": 1000}),
+	}})
+
+	var out bytes.Buffer
+	if code := run([]string{"-warn", "-base", base, "-new", slower}, nil, &out); code != 0 {
+		t.Fatalf("-warn with timing-only regressions: exit %d, want 0:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "-warn set, not failing") {
+		t.Errorf("timing regression not downgraded by name:\n%s", out.String())
+	}
+
+	out.Reset()
+	if code := run([]string{"-warn", "-base", base, "-new", allocier}, nil, &out); code != 1 {
+		t.Fatalf("-warn with an allocs/op regression: exit %d, want 1:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL Ingest 50.0 → 60.0 allocs/op") || !strings.Contains(out.String(), "1 allocs/op regression(s) still fail") {
+		t.Errorf("allocs/op gate not reported:\n%s", out.String())
 	}
 }

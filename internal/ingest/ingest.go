@@ -175,13 +175,18 @@ type Config struct {
 	// engine on the same registry merges its series into the first's.
 	Metrics *obs.Registry
 
-	// SnapshotMaxAge bounds how stale the lock-free read snapshots may
-	// get (default 100ms). Under sustained writes each shard republishes
-	// its snapshot once this much time has passed since the last
-	// publish; on an idle engine a reader that observes a snapshot both
-	// older than this and behind the shard's apply watermark nudges a
-	// refresh through the queue. Either way a snapshot read is never
-	// more than SnapshotMaxAge behind the applied stream.
+	// SnapshotMaxAge bounds how stale the lock-free aggregate snapshot
+	// (Snapshot: Summary, Window, epoch, ETag) may get (default 100ms).
+	// Under sustained writes each shard republishes its aggregate once
+	// this much time has passed since the last publish; on an idle
+	// engine a reader that observes an aggregate both older than this
+	// and behind the shard's apply watermark nudges a refresh through
+	// the queue. Either way an aggregate read is never more than
+	// SnapshotMaxAge behind the applied stream. Per-swarm views
+	// (SwarmSnapshot) are tighter: a shard publishes the views of the
+	// swarms it touched whenever its queue drains, and at every
+	// aggregate publish, so they wait for SnapshotMaxAge only while the
+	// queue never empties.
 	SnapshotMaxAge time.Duration
 
 	// WindowBinDays is the width of one fine time bin in days (default

@@ -31,6 +31,11 @@ type Metrics struct {
 	batchSizeMax  *obs.Gauge     // high-water batch size
 	readCacheHits *obs.Counter   // merged-snapshot reads served from cache
 
+	// viewPublishLag is observed once per swarm-view publish: seconds
+	// from the first apply that dirtied a pending view to the store
+	// that made it readable.
+	viewPublishLag *obs.Histogram
+
 	// checkpointSeconds times Engine.Checkpoint end to end. Registered
 	// unconditionally (zero-valued on non-durable engines) so the
 	// series set is stable across configurations.
@@ -57,6 +62,8 @@ func newMetrics(reg *obs.Registry, shards int) *Metrics {
 		batchSize:     reg.Histogram("ingest_batch_size", obs.SizeBuckets),
 		batchSizeMax:  reg.Gauge("ingest_batch_size_max"),
 		readCacheHits: reg.Counter("read_cache_hits_total"),
+
+		viewPublishLag: reg.Histogram("ingest_view_publish_lag_seconds", obs.LatencyBuckets),
 
 		checkpointSeconds: reg.Histogram("checkpoint_duration_seconds", obs.LatencyBuckets),
 	}
@@ -92,13 +99,13 @@ type MetricsSnapshot struct {
 	Deduped uint64 `json:"deduped"`
 	// Shed counts ops dropped by the Shed overflow policy; always 0
 	// under Block. OverflowPolicy names the active policy.
-	Shed           uint64  `json:"shed"`
-	OverflowPolicy string  `json:"overflow_policy"`
+	Shed           uint64 `json:"shed"`
+	OverflowPolicy string `json:"overflow_policy"`
 	// ReadCacheHits counts Snapshot() reads served from the memoized
 	// merged snapshot (no per-shard re-merge).
-	ReadCacheHits uint64 `json:"read_cache_hits"`
-	MeanBatchSize  float64 `json:"mean_batch_size"`
-	MaxBatchSize   float64 `json:"max_batch_size"`
+	ReadCacheHits uint64  `json:"read_cache_hits"`
+	MeanBatchSize float64 `json:"mean_batch_size"`
+	MaxBatchSize  float64 `json:"max_batch_size"`
 	// Batch apply latency quantiles in seconds (histogram-accurate:
 	// exact to within one factor-2 bucket).
 	LatencyP50 float64 `json:"latency_p50_seconds"`

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,15 +33,16 @@ type shardMsg struct {
 	persist chan<- *shardSnapshot // checkpoint state capture request
 }
 
-// shardSnap is one shard's immutable published read snapshot. Readers
-// load it with a single atomic pointer load and never touch the shard
-// queue; the shard goroutine replaces it wholesale, never mutates it.
+// shardSnap is one shard's immutable published aggregate snapshot.
+// Readers load it with a single atomic pointer load and never touch the
+// shard queue; the shard goroutine replaces it wholesale, never mutates
+// it. Per-swarm reads go through the swarms' own views instead (see
+// swarmState.view).
 type shardSnap struct {
-	epoch  uint64    // apply watermark the snapshot reflects
-	built  time.Time // publish time, for the staleness bound
-	sum    *Summary
-	win    *WindowState
-	swarms map[int]SwarmStats
+	epoch uint64    // apply watermark the snapshot reflects
+	built time.Time // publish time, for the staleness bound
+	sum   *Summary
+	win   *WindowState
 }
 
 // shard owns a partition of the swarm keyspace. Only its goroutine
@@ -54,18 +56,29 @@ type shard struct {
 	maxAge  time.Duration
 	swarms  map[int]*swarmState
 	cats    map[trace.Category]*CategoryCounters
+	agg     winAgg // every swarm ring, summed by delta (see winAgg)
+
+	// index is the readers' lock-free id → *swarmState lookup. The
+	// shard goroutine stores an entry when it creates a swarm (install
+	// does so at recovery, before the goroutine starts); readers only
+	// load the entry's view.
+	index sync.Map
 
 	// applied is the shard's apply watermark (ops applied since start);
-	// snap is the latest published read snapshot. Together they give
-	// readers the freshness test: snap.epoch == applied ⇒ nothing
+	// snap is the latest published aggregate snapshot. Together they
+	// give readers the freshness test: snap.epoch == applied ⇒ nothing
 	// unpublished.
 	applied atomic.Uint64
 	snap    atomic.Pointer[shardSnap]
 
 	// Publish bookkeeping, touched only by the shard goroutine (or
-	// before it starts).
-	dirty   bool
-	lastPub time.Time
+	// before it starts). dirty marks applies the aggregate snapshot has
+	// not seen; pending lists the swarms whose views are unpublished,
+	// each once, and pendingSince is when the first of them was dirtied.
+	dirty        bool
+	lastPub      time.Time
+	pending      []*swarmState
+	pendingSince time.Time
 }
 
 func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, wc windowConfig, maxAge time.Duration) *shard {
@@ -84,60 +97,112 @@ func newShard(idx, queueDepth int, m *Metrics, pool *batchPool, wc windowConfig,
 	return s
 }
 
-// publish replaces the read snapshot with the current state.
+// publish stores the pending swarm views and replaces the aggregate
+// snapshot with the current state.
 func (s *shard) publish() {
-	s.snap.Store(s.buildSnap())
+	s.publishViews()
+	s.snap.Store(&shardSnap{
+		epoch: s.applied.Load(),
+		built: time.Now(),
+		sum:   s.summarize(),
+		win:   s.agg.state(&s.wc),
+	})
 	s.dirty = false
 	s.lastPub = time.Now()
+}
+
+// publishViews stores a fresh view for every pending swarm — work
+// proportional to the swarms touched since the last publish, not to
+// the shard's population.
+func (s *shard) publishViews() {
+	if len(s.pending) == 0 {
+		return
+	}
+	for _, st := range s.pending {
+		st.publishView()
+	}
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	s.metrics.viewPublishLag.Observe(time.Since(s.pendingSince).Seconds())
+}
+
+// touch queues st's view for the next publish.
+func (s *shard) touch(st *swarmState) {
+	if st.dirty {
+		return
+	}
+	st.dirty = true
+	s.pending = append(s.pending, st)
+}
+
+// applyBatch applies one queued batch and takes ownership of its
+// buffer.
+func (s *shard) applyBatch(ops []Op) {
+	start := time.Now()
+	if len(s.pending) == 0 {
+		s.pendingSince = start
+	}
+	for _, op := range ops {
+		s.apply(op)
+	}
+	s.applied.Add(uint64(len(ops)))
+	s.dirty = true
+	s.metrics.observeBatch(s.idx, len(ops), time.Since(start))
+	// The batch buffer's ownership ends here: recycle it for the next
+	// Submit/Writer fill.
+	s.pool.put(ops)
+	// Throttled aggregate republish: under sustained writes the
+	// snapshot trails the stream by at most maxAge.
+	if time.Since(s.lastPub) >= s.maxAge {
+		s.publish()
+	}
 }
 
 // run drains the queue until the channel closes.
 func (s *shard) run() {
 	for msg := range s.in {
-		switch {
-		case msg.ops != nil:
-			start := time.Now()
-			for _, op := range msg.ops {
-				s.apply(op)
-			}
-			s.applied.Add(uint64(len(msg.ops)))
-			s.dirty = true
-			s.metrics.observeBatch(s.idx, len(msg.ops), time.Since(start))
-			// The batch buffer's ownership ends here: recycle it for
-			// the next Submit/Writer fill.
-			s.pool.put(msg.ops)
-			// Throttled republish: under sustained writes the snapshot
-			// trails the stream by at most maxAge.
-			if s.dirty && time.Since(s.lastPub) >= s.maxAge {
-				s.publish()
-			}
-		case msg.ack != nil:
-			// Publish before acknowledging, so Flush ⇒ snapshots are
-			// fresh — in-process flush-then-read stays read-your-writes
-			// even on the lock-free path.
-			if s.dirty {
-				s.publish()
-			}
-			msg.ack <- struct{}{}
-		case msg.summary != nil:
-			msg.summary <- s.summarize()
-		case msg.swarm != nil:
-			if st, ok := s.swarms[msg.swarmID]; ok {
-				snap := st.stats()
-				msg.swarm <- &snap
-			} else {
-				msg.swarm <- nil
-			}
-		case msg.window != nil:
-			msg.window <- s.windowize()
-		case msg.timeline != nil:
-			msg.timeline <- s.timelineOf(msg.timelineID)
-		case msg.persist != nil:
-			msg.persist <- s.snapshot()
-		}
+		s.handle(msg)
 	}
 	// Final publish: after Close the snapshot is the complete state.
-	s.publish()
+	if s.dirty {
+		s.publish()
+	}
+}
+
+// handle serves one queued message. Whatever its kind, swarm views go
+// out once it leaves the queue empty, so a per-swarm read waits for the
+// messages already queued, never for the aggregate throttle.
+func (s *shard) handle(msg shardMsg) {
+	switch {
+	case msg.ops != nil:
+		s.applyBatch(msg.ops)
+	case msg.ack != nil:
+		// Publish before acknowledging, so Flush ⇒ snapshots are
+		// fresh — in-process flush-then-read stays read-your-writes
+		// even on the lock-free path.
+		if s.dirty {
+			s.publish()
+		}
+		msg.ack <- struct{}{}
+	case msg.summary != nil:
+		msg.summary <- s.summarize()
+	case msg.swarm != nil:
+		if st, ok := s.swarms[msg.swarmID]; ok {
+			snap := st.stats()
+			msg.swarm <- &snap
+		} else {
+			msg.swarm <- nil
+		}
+	case msg.window != nil:
+		msg.window <- s.agg.state(&s.wc)
+	case msg.timeline != nil:
+		msg.timeline <- s.timelineOf(msg.timelineID)
+	case msg.persist != nil:
+		msg.persist <- s.snapshot()
+	}
+	if len(s.in) == 0 {
+		s.publishViews()
+	}
 }
 
 func (s *shard) state(id int) *swarmState {
@@ -145,14 +210,16 @@ func (s *shard) state(id int) *swarmState {
 	if !ok {
 		st = &swarmState{}
 		s.swarms[id] = st
+		s.index.Store(id, st)
 	}
+	s.touch(st)
 	return st
 }
 
 func (s *shard) apply(op Op) {
 	switch op.kind {
 	case opEvent:
-		s.state(op.rec.SwarmID).apply(op.rec, &s.wc)
+		s.state(op.rec.SwarmID).apply(op.rec, &s.wc, &s.agg)
 	case opMeta:
 		st := s.state(op.aux.meta.ID)
 		st.meta = op.aux.meta
@@ -207,10 +274,16 @@ func (s *shard) snapshot() *shardSnapshot {
 // must already be routed to this shard by the current hash.
 func (s *shard) install(snap *shardSnapshot) {
 	// The installed state is unpublished; the recovery flush (or the
-	// first write) publishes it to the read snapshot.
+	// first write) publishes it to the read snapshot and swarm views.
 	s.dirty = true
+	if len(s.pending) == 0 {
+		s.pendingSince = time.Now()
+	}
 	for _, r := range snap.Swarms {
-		s.swarms[r.ID] = r.state(&s.wc)
+		st := r.state(&s.wc, &s.agg)
+		s.swarms[r.ID] = st
+		s.index.Store(r.ID, st)
+		s.touch(st)
 	}
 	for _, cr := range snap.Cats {
 		cc, ok := s.cats[cr.Category]
@@ -255,69 +328,18 @@ func (s *shard) summarize() *Summary {
 	return sum
 }
 
-// buildSnap captures the shard's complete read state in one pass:
-// the mergeable Summary (same arithmetic as summarize — integer sums
-// plus per-swarm availabilities computed deterministically here, on the
-// swarm's home shard), the per-swarm stats map, and the windowed
-// aggregate.
-func (s *shard) buildSnap() *shardSnap {
-	sum := NewSummary()
-	sum.Swarms = len(s.swarms)
-	swarms := make(map[int]SwarmStats, len(s.swarms))
-	fine := make(map[int64]*WindowBinState)
-	coarse := make(map[int64]*WindowBinState)
-	for id, st := range s.swarms {
-		stats := st.stats()
-		swarms[id] = stats
-		sum.SeedsOnline += st.seedsOnline
-		sum.LeechersOnline += st.leechersOnline
-		sum.BusyPeriods += st.busyPeriods
-		sum.Events += st.events
-		if st.events > 0 || st.hasMeta {
-			sum.FirstMonth.Add(stats.FirstMonth)
-			sum.Full.Add(stats.Full)
-			if measure.IsFullyAvailable(stats.FirstMonth) {
-				sum.FullyAvailableFirstMonth++
-			}
-			if measure.IsMostlyUnavailable(stats.Full) {
-				sum.MostlyUnavailable++
-			}
-			sum.StudySwarms++
-		}
-		if st.hasCensus {
-			sum.CensusSwarms++
-		}
-		st.win.fold(fine, coarse)
-	}
-	for cat, cc := range s.cats {
-		merged := sum.Categories[cat]
-		merged.merge(*cc)
-		sum.Categories[cat] = merged
-	}
-	win := newWindowState(&s.wc)
-	win.Fine = sortedBins(fine)
-	win.Coarse = sortedBins(coarse)
-	return &shardSnap{
-		epoch:  s.applied.Load(),
-		built:  time.Now(),
-		sum:    sum,
-		win:    win,
-		swarms: swarms,
-	}
-}
-
-// windowize folds the shard's swarm rings into a mergeable windowed
-// aggregate (the consistent-path counterpart of the snapshot's win).
-func (s *shard) windowize() *WindowState {
-	fine := make(map[int64]*WindowBinState)
-	coarse := make(map[int64]*WindowBinState)
-	for _, st := range s.swarms {
-		st.win.fold(fine, coarse)
-	}
-	w := newWindowState(&s.wc)
-	w.Fine = sortedBins(fine)
-	w.Coarse = sortedBins(coarse)
-	return w
+// reset empties the shard (recovery discarding a partial checkpoint
+// install). Only safe before the shard goroutine starts.
+func (s *shard) reset() {
+	clear(s.swarms)
+	clear(s.cats)
+	s.index.Range(func(id, _ any) bool {
+		s.index.Delete(id)
+		return true
+	})
+	s.agg = winAgg{}
+	clear(s.pending)
+	s.pending = s.pending[:0]
 }
 
 // timelineOf folds one swarm's ring into a WindowState of its own

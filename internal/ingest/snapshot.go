@@ -118,11 +118,23 @@ func (e *Engine) Snapshot() Snapshot {
 	return snap
 }
 
-// SwarmSnapshot returns one swarm's stats from the lock-free snapshot
-// path (at most SnapshotMaxAge stale; Swarm is the barrier variant).
+// SwarmSnapshot returns one swarm's stats from its lock-free published
+// view: an index lookup and one atomic load, never a queue hop. The
+// owning shard publishes the views of the swarms it touched as soon as
+// its queue drains, whatever message drained it, and at the latest
+// every SnapshotMaxAge under sustained writes, so the answer trails the
+// applied stream by at most that. ok is false for a swarm whose first view is not yet
+// published. Swarm is the barrier variant.
 func (e *Engine) SwarmSnapshot(id int) (SwarmStats, bool) {
-	st, ok := e.freshSnap(e.shardFor(id)).swarms[id]
-	return st, ok
+	v, ok := e.shardFor(id).index.Load(id)
+	if !ok {
+		return SwarmStats{}, false
+	}
+	st := v.(*swarmState).view.Load()
+	if st == nil {
+		return SwarmStats{}, false
+	}
+	return *st, true
 }
 
 // Window requests the windowed aggregate from every shard through the
@@ -134,7 +146,7 @@ func (e *Engine) Window() *WindowState {
 	if !e.enter() {
 		<-e.done
 		for _, s := range e.shards {
-			_ = win.Merge(s.windowize())
+			_ = win.Merge(s.agg.state(&s.wc))
 		}
 		return win
 	}

@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"sync/atomic"
+
 	"swarmavail/internal/measure"
 	"swarmavail/internal/stats"
 	"swarmavail/internal/trace"
@@ -35,6 +37,19 @@ type swarmState struct {
 	// function of the swarm's own event stream, which is what makes
 	// clustered windowed answers merge exactly.
 	win winRing
+
+	// view is the swarm's last published stats, read lock-free by
+	// SwarmSnapshot. dirty marks changes not yet published; only the
+	// owning shard goroutine touches it.
+	view  atomic.Pointer[SwarmStats]
+	dirty bool
+}
+
+// publishView stores the swarm's current stats as its immutable view.
+func (s *swarmState) publishView() {
+	v := s.stats()
+	s.view.Store(&v)
+	s.dirty = false
 }
 
 // windows returns the two availability windows. Before registration the
@@ -67,13 +82,14 @@ func (s *swarmState) addCovered(lo, hi float64) {
 	}
 }
 
-// apply processes one monitor event.
-func (s *swarmState) apply(rec Record, wc *windowConfig) {
+// apply processes one monitor event, mirroring window-ring changes into
+// the shard aggregate agg.
+func (s *swarmState) apply(rec Record, wc *windowConfig, agg *winAgg) {
 	s.events++
 	if rec.Time > s.lastEvent {
 		// Accrue windowed observed/seeded time over the span up to this
 		// event using the seed state in effect *before* its transition.
-		s.win.accrue(wc, s.lastEvent, rec.Time, s.seedsOnline > 0)
+		s.win.accrue(wc, agg, s.lastEvent, rec.Time, s.seedsOnline > 0)
 		s.lastEvent = rec.Time
 	}
 	busyStart := false
@@ -96,7 +112,7 @@ func (s *swarmState) apply(rec Record, wc *windowConfig) {
 			s.addCovered(s.upSince, rec.Time)
 		}
 	}
-	s.win.mark(wc, rec.Time, busyStart)
+	s.win.mark(wc, agg, rec.Time, busyStart)
 }
 
 // availability returns the online first-month and whole-trace
@@ -185,8 +201,9 @@ func (s *swarmState) record(id int) swarmRecord {
 	}
 }
 
-// state converts the wire form back to live state.
-func (r swarmRecord) state(wc *windowConfig) *swarmState {
+// state converts the wire form back to live state, adding its window
+// ring to agg.
+func (r swarmRecord) state(wc *windowConfig, agg *winAgg) *swarmState {
 	st := &swarmState{
 		meta:           r.Meta,
 		horizon:        r.Horizon,
@@ -204,7 +221,7 @@ func (r swarmRecord) state(wc *windowConfig) *swarmState {
 		downloads:      r.Downloads,
 		hasCensus:      r.HasCensus,
 	}
-	st.win.restore(wc, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
+	st.win.restore(wc, agg, r.LastEvent, r.WinFine, r.WinCoarse, r.Events > 0)
 	return st
 }
 

@@ -24,6 +24,7 @@ package ingest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -81,16 +82,30 @@ func (c *windowConfig) quantize(d float64) uint64 {
 	return uint64(u)
 }
 
+// credit returns the span [lo, hi) days' share of fine bin b as a
+// ring delta: tracked time, and covered time too when the swarm was
+// seeded over the span.
+func (c *windowConfig) credit(lo, hi float64, b int64, seeded bool) winBin {
+	u := c.quantize(min(hi, float64(b+1)*c.binDays) - max(lo, float64(b)*c.binDays))
+	if seeded {
+		return winBin{tracked: u, covered: u}
+	}
+	return winBin{tracked: u}
+}
+
 // advance moves the ring head to absolute fine bin nb, folding fine
 // bins that leave the window into their coarse bins and dropping coarse
-// bins that age out of retention. Allocates the rings on first touch.
-func (r *winRing) advance(c *windowConfig, nb int64) {
+// bins that age out of retention. Every slot change is mirrored into a.
+// Allocates the rings on first touch.
+func (r *winRing) advance(c *windowConfig, a *winAgg, nb int64) {
 	if nb < 0 {
 		nb = 0
 	}
 	if !r.inited() {
-		r.fine = make([]winBin, c.fine)
-		r.coarse = make([]winBin, c.coarse)
+		// One allocation backs both rings.
+		bins := make([]winBin, c.fine+c.coarse)
+		r.fine = bins[:c.fine:c.fine]
+		r.coarse = bins[c.fine:]
 		r.fineHi = nb
 		r.coarseHi = nb / int64(c.fold)
 		return
@@ -101,13 +116,18 @@ func (r *winRing) advance(c *windowConfig, nb int64) {
 	nFine, nCoarse := int64(len(r.fine)), int64(len(r.coarse))
 	// Advance the coarse ring first so evicted fine bins fold into
 	// slots that are already positioned (and zeroed) for their index.
+	// Slot (coarseHi+i)%nCoarse, about to be reused, holds the aged-out
+	// index coarseHi+i-nCoarse.
 	if nc := nb / int64(c.fold); nc > r.coarseHi {
 		steps := nc - r.coarseHi
 		if steps > nCoarse {
 			steps = nCoarse
 		}
 		for i := int64(1); i <= steps; i++ {
-			r.coarse[(r.coarseHi+i)%nCoarse] = winBin{}
+			if slot := &r.coarse[(r.coarseHi+i)%nCoarse]; !slot.zero() {
+				a.coarse.remove(r.coarseHi+i-nCoarse, slot)
+				*slot = winBin{}
+			}
 		}
 		r.coarseHi = nc
 	}
@@ -124,42 +144,51 @@ func (r *winRing) advance(c *windowConfig, nb int64) {
 		if slot.zero() {
 			continue
 		}
+		a.fine.remove(b, slot)
 		if cb := b / int64(c.fold); cb > r.coarseHi-nCoarse {
-			cs := &r.coarse[cb%nCoarse]
-			cs.covered += slot.covered
-			cs.tracked += slot.tracked
-			cs.busy += slot.busy
-			cs.events += slot.events
+			land(&a.coarse, cb, &r.coarse[cb%nCoarse], *slot)
 		}
 		*slot = winBin{}
 	}
 	r.fineHi = nb
 }
 
+// land adds d to the ring slot at absolute index idx and mirrors the
+// delta into the aggregate t.
+func land(t *binTable, idx int64, slot *winBin, d winBin) {
+	if d.zero() {
+		return
+	}
+	p, bin := t.at(idx)
+	if slot.zero() {
+		t.join(p, bin, idx)
+	}
+	bin.Covered += d.covered
+	bin.Tracked += d.tracked
+	bin.BusyStarts += d.busy
+	bin.Events += d.events
+	slot.covered += d.covered
+	slot.tracked += d.tracked
+	slot.busy += d.busy
+	slot.events += d.events
+}
+
 // add lands units on absolute fine bin b: in the fine window directly,
 // behind it via the covering coarse bin, beyond retention nowhere. The
 // head must already be advanced past b.
-func (r *winRing) add(c *windowConfig, b int64, bin winBin) {
+func (r *winRing) add(c *windowConfig, a *winAgg, b int64, bin winBin) {
 	if b < 0 {
 		b = 0
 	}
 	nFine := int64(len(r.fine))
 	if b > r.fineHi-nFine { // b <= fineHi by the advance contract
-		s := &r.fine[b%nFine]
-		s.covered += bin.covered
-		s.tracked += bin.tracked
-		s.busy += bin.busy
-		s.events += bin.events
+		land(&a.fine, b, &r.fine[b%nFine], bin)
 		return
 	}
 	nCoarse := int64(len(r.coarse))
 	cb := b / int64(c.fold)
 	if cb > r.coarseHi-nCoarse && cb <= r.coarseHi {
-		s := &r.coarse[cb%nCoarse]
-		s.covered += bin.covered
-		s.tracked += bin.tracked
-		s.busy += bin.busy
-		s.events += bin.events
+		land(&a.coarse, cb, &r.coarse[cb%nCoarse], bin)
 	}
 }
 
@@ -167,12 +196,12 @@ func (r *winRing) add(c *windowConfig, b int64, bin winBin) {
 // crediting tracked time (and covered time when the swarm was seeded
 // throughout — the caller passes the seed state in effect over the
 // span) to every bin the span touches.
-func (r *winRing) accrue(c *windowConfig, lo, hi float64, seeded bool) {
+func (r *winRing) accrue(c *windowConfig, a *winAgg, lo, hi float64, seeded bool) {
 	if lo < 0 {
 		lo = 0
 	}
 	head := c.binIndex(hi)
-	r.advance(c, head)
+	r.advance(c, a, head)
 	if hi <= lo {
 		return
 	}
@@ -182,39 +211,42 @@ func (r *winRing) accrue(c *windowConfig, lo, hi float64, seeded bool) {
 	if floor := head - int64(c.fine) - int64(c.coarse)*int64(c.fold); b0 < floor {
 		b0 = floor
 	}
-	for b := b0; b <= head; b++ {
-		s := math.Max(lo, float64(b)*c.binDays)
-		e := math.Min(hi, float64(b+1)*c.binDays)
-		if e <= s {
-			continue
+	nFine := int64(len(r.fine))
+	b := b0
+	// Behind the fine window: through the covering coarse bin.
+	for ; b <= head && b <= r.fineHi-nFine; b++ {
+		r.add(c, a, b, c.credit(lo, hi, b, seeded))
+	}
+	// The rest lies in the fine window (head == fineHi after the
+	// advance): walk its slots in step with the bins.
+	for p := b % nFine; b <= head; b++ {
+		land(&a.fine, b, &r.fine[p], c.credit(lo, hi, b, seeded))
+		if p++; p == nFine {
+			p = 0
 		}
-		u := c.quantize(e - s)
-		bin := winBin{tracked: u}
-		if seeded {
-			bin.covered = u
-		}
-		r.add(c, b, bin)
 	}
 }
 
 // mark lands per-event counters (one event, optionally one busy-period
 // start) on the bin containing t. The ring is initialized if this is
 // the swarm's first touch.
-func (r *winRing) mark(c *windowConfig, t float64, busyStart bool) {
+func (r *winRing) mark(c *windowConfig, a *winAgg, t float64, busyStart bool) {
 	b := c.binIndex(t)
 	if !r.inited() || b > r.fineHi {
-		r.advance(c, b)
+		r.advance(c, a, b)
 	}
 	bin := winBin{events: 1}
 	if busyStart {
 		bin.busy = 1
 	}
-	r.add(c, b, bin)
+	r.add(c, a, b, bin)
 }
 
 // fold adds the ring's live bins into the per-index aggregation maps
 // (fine and coarse keyed separately; coarse keys are coarse-bin
-// indices). Each nonempty bin counts this swarm once.
+// indices). Each nonempty bin counts this swarm once. It serves
+// one-swarm timelines and is the from-scratch oracle the shard's
+// delta-kept winAgg is tested against.
 func (r *winRing) fold(fine, coarse map[int64]*WindowBinState) {
 	if !r.inited() {
 		return
@@ -293,29 +325,140 @@ func (r *winRing) records() (fine, coarse []winBinRecord) {
 	return fine, coarse
 }
 
-// restore rebuilds the ring from checkpointed bins. The head comes from
-// lastEvent, so a load under the same geometry reproduces the ring
-// exactly; under a different geometry, out-of-window fine bins fold
-// into coarse and out-of-retention bins drop — the same rules live
-// eviction applies.
-func (r *winRing) restore(c *windowConfig, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
+// restore rebuilds the ring from checkpointed bins, mirroring them into
+// a. The head comes from lastEvent, so a load under the same geometry
+// reproduces the ring exactly; under a different geometry,
+// out-of-window fine bins fold into coarse and out-of-retention bins
+// drop — the same rules live eviction applies.
+func (r *winRing) restore(c *windowConfig, a *winAgg, lastEvent float64, fine, coarse []winBinRecord, touched bool) {
 	if !touched && len(fine) == 0 && len(coarse) == 0 {
 		return
 	}
-	r.advance(c, c.binIndex(lastEvent))
+	r.advance(c, a, c.binIndex(lastEvent))
 	nCoarse := int64(len(r.coarse))
 	for _, rec := range coarse {
 		if rec.Index > r.coarseHi-nCoarse && rec.Index <= r.coarseHi {
-			s := &r.coarse[rec.Index%nCoarse]
-			s.covered += rec.Covered
-			s.tracked += rec.Tracked
-			s.busy += rec.Busy
-			s.events += rec.Events
+			land(&a.coarse, rec.Index, &r.coarse[rec.Index%nCoarse],
+				winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
 		}
 	}
 	for _, rec := range fine {
-		r.add(c, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
+		r.add(c, a, rec.Index, winBin{covered: rec.Covered, tracked: rec.Tracked, busy: rec.Busy, events: rec.Events})
 	}
+}
+
+// winAgg is a shard's windowed aggregate kept by delta: for every
+// absolute bin index, the sum of that index's live ring slots across
+// the shard's swarms, and in Swarms the number of those slots that are
+// nonzero. Every ring mutation (add, fold on advance, coarse age-out,
+// restore) mirrors its integer delta here, so the aggregate always
+// equals a from-scratch fold of every ring (TestWinAggMatchesRefold),
+// and publishing it costs a copy of the live bins instead of a refold.
+type winAgg struct {
+	fine, coarse binTable
+}
+
+// state copies the aggregate out as an immutable WindowState.
+func (a *winAgg) state(c *windowConfig) *WindowState {
+	w := newWindowState(c)
+	w.Fine = a.fine.bins()
+	w.Coarse = a.coarse.bins()
+	return w
+}
+
+// aggPageBits sets the page size of a binTable: 64 bins, so the live
+// bins of a default 64-bin fine ring span at most two pages.
+const aggPageBits = 6
+
+// binPage is a dense run of 1<<aggPageBits aggregate bins indexed by
+// absolute bin index; key is the index >> aggPageBits.
+type binPage struct {
+	key  int64
+	live int // bins with Swarms > 0
+	bins [1 << aggPageBits]WindowBinState
+}
+
+// binTable is one resolution of a winAgg. Bins live in dense pages
+// keyed by page number rather than in one dense slice: swarms' ring
+// heads may lie arbitrarily far apart (timestamps come off the wire),
+// and a single slice would be as long as that spread. Pages are
+// created on a bin's first swarm and dropped when their last bin
+// empties, so resident size follows the live bins; they are put in
+// order only when copied out, at most once per publish.
+type binTable struct {
+	pages map[int64]*binPage
+	live  int // bins with Swarms > 0, across pages
+	// cache holds recently used pages, direct-mapped by the key's low
+	// bits, in front of the map: consecutive ops touch different swarms
+	// whose heads sit on different pages, and live pages are
+	// near-contiguous, so most lookups skip the map.
+	cache [64]*binPage
+}
+
+// at returns bin idx and its page, creating the page on first use.
+func (t *binTable) at(idx int64) (*binPage, *WindowBinState) {
+	key := idx >> aggPageBits
+	p := t.cache[key&63]
+	if p == nil || p.key != key {
+		if p = t.pages[key]; p == nil {
+			if t.pages == nil {
+				t.pages = make(map[int64]*binPage)
+			}
+			p = &binPage{key: key}
+			t.pages[key] = p
+		}
+		t.cache[key&63] = p
+	}
+	return p, &p.bins[idx&(1<<aggPageBits-1)]
+}
+
+// join counts one more swarm with a nonzero slot at bin idx.
+func (t *binTable) join(p *binPage, bin *WindowBinState, idx int64) {
+	if bin.Swarms == 0 {
+		bin.Index = idx
+		p.live++
+		t.live++
+	}
+	bin.Swarms++
+}
+
+// remove takes a whole nonzero ring slot out of bin idx (the slot is
+// about to be zeroed), dropping the page once its last bin empties.
+func (t *binTable) remove(idx int64, slot *winBin) {
+	p, bin := t.at(idx)
+	bin.Covered -= slot.covered
+	bin.Tracked -= slot.tracked
+	bin.BusyStarts -= slot.busy
+	bin.Events -= slot.events
+	if bin.Swarms--; bin.Swarms > 0 {
+		return
+	}
+	// The last contributing slot left, so every sum is zero again.
+	p.live--
+	t.live--
+	if p.live == 0 {
+		delete(t.pages, p.key)
+		t.cache[p.key&63] = nil // at just cached p there
+	}
+}
+
+// bins copies the nonempty bins out in index order.
+func (t *binTable) bins() []WindowBinState {
+	keys := make([]int64, 0, len(t.pages))
+	for k := range t.pages {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([]WindowBinState, 0, t.live)
+	for _, k := range keys {
+		p := t.pages[k]
+		for i := range p.bins {
+			if p.bins[i].Swarms > 0 {
+				out = append(out, p.bins[i])
+			}
+		}
+	}
+	return out
 }
 
 // WindowBinState is one time bin of a mergeable WindowState: integer

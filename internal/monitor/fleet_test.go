@@ -170,6 +170,9 @@ func runFleetTest(t *testing.T, h *fleetHarness, cfg Config) Stats {
 		t.Fatalf("fleet run: %v", err)
 	}
 
+	// A non-durable engine acks a stream frame at enqueue, before the
+	// shard applies it: barrier on the queues before counting.
+	h.engine.Flush()
 	m := h.engine.Metrics()
 	wantApplied := stats.RecordsEmitted + 1 // + the MetaOp registration
 	if m.Applied != wantApplied {
